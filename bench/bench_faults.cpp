@@ -129,25 +129,22 @@ int main() {
       s.fallback_units, s.dead_ranks, s.reclaimed_units);
   std::printf(
       "  transport: msgs=%zu copied=%zu B zero_copy=%zu (%zu B) "
-      "coalesced=%zu batch_rejects=%zu pool_hits=%zu pool_misses=%zu\n",
+      "pool_hits=%zu pool_misses=%zu\n",
       s.comm_messages, s.comm_bytes, s.zero_copy_hits, s.window_bytes,
-      s.coalesced_messages, s.batch_rejects, s.buffer_pool_hits,
-      s.buffer_pool_misses);
+      s.buffer_pool_hits, s.buffer_pool_misses);
 
-  // The same chaos over the copy path with coalescing on: the recovery
-  // machinery must deliver the identical mesh on both transports.
+  // The same chaos over the copy path: the recovery machinery must deliver
+  // the identical mesh on both transports.
   PoolOptions chaos_copy = chaos;
   chaos_copy.tuning.rma = false;
-  chaos_copy.tuning.coalesce_delay = std::chrono::microseconds(150);
   MergedMesh out_copy;
   const PoolStats sc =
       run_pool(make_initial(), domain.sizing, chaos_copy, out_copy);
   std::printf(
-      "chaos pool (rma=off, coalesce=150us): %.3f s, %zu triangles (%s), "
-      "copied=%zu B coalesced=%zu batch_rejects=%zu status %s\n",
+      "chaos pool (rma=off): %.3f s, %zu triangles (%s), copied=%zu B "
+      "status %s\n",
       sc.wall_seconds, out_copy.triangle_count(),
       out_copy.triangle_count() == tris ? "identical" : "MISMATCH",
-      sc.comm_bytes, sc.coalesced_messages, sc.batch_rejects,
-      to_string(sc.status));
+      sc.comm_bytes, to_string(sc.status));
   return 0;
 }

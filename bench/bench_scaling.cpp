@@ -179,31 +179,6 @@ int main(int argc, char** argv) {
                   ? "agree"
                   : "DISAGREE");
 
-  // Ranks x threads grid: the real pool with intra-rank refinement threads
-  // layered under the rank parallelism. Same config, same mesh at every
-  // cell (threads_per_rank is performance-only); the grid shows how the two
-  // axes compose on this machine's core budget.
-  std::printf("Ranks x threads-per-rank grid (real pool):\n");
-  struct GridCell { int ranks; int threads; double seconds; };
-  std::vector<GridCell> grid{{2, 1, 0}, {2, 2, 0}, {4, 1, 0}, {4, 2, 0}};
-  std::size_t grid_triangles = 0;
-  bool grid_agrees = true;
-  for (GridCell& cell : grid) {
-    PoolTuning tuned = rma_on;
-    tuned.threads_per_rank = cell.threads;
-    Timer t;
-    const ParallelMeshResult r =
-        parallel_generate_mesh(ab, cell.ranks, FaultConfig{}, nullptr, tuned);
-    cell.seconds = t.seconds();
-    if (grid_triangles == 0) grid_triangles = r.mesh.triangle_count();
-    grid_agrees = grid_agrees && r.mesh.triangle_count() == grid_triangles;
-    std::printf("  ranks=%d threads=%d  wall %7.0f ms  triangles %zu\n",
-                cell.ranks, cell.threads, 1000.0 * cell.seconds,
-                r.mesh.triangle_count());
-  }
-  std::printf("  meshes %s across the grid\n\n",
-              grid_agrees ? "agree" : "DISAGREE");
-
   // Checkpoint overhead A/B: the identical 8-rank run with the journal sink
   // streaming every finalized leaf to disk. The sink frames each leaf's raw
   // triangle array with a chained CRC and appends+flushes, so the wall cost
@@ -289,13 +264,6 @@ int main(int argc, char** argv) {
   report.counters.emplace_back(
       "ab_triangles_copy",
       static_cast<double>(with_copy.mesh.triangle_count()));
-  for (const GridCell& cell : grid) {
-    report.counters.emplace_back("grid_r" + std::to_string(cell.ranks) + "_t" +
-                                     std::to_string(cell.threads) + "_s",
-                                 cell.seconds);
-  }
-  report.counters.emplace_back("grid_triangles_agree",
-                               grid_agrees ? 1.0 : 0.0);
   report.counters.emplace_back("wall_ckpt_ms", wall_ckpt_ms);
   report.counters.emplace_back("checkpoint_overhead_pct", overhead_pct);
   report.counters.emplace_back(

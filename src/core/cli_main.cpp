@@ -217,20 +217,27 @@ int main(int argc, char** argv) {
   }
   opts.trace = !trace_path.empty();
 
-  if (!poly_path.empty()) {
-    opts.airfoil = load_poly_geometry(poly_path);
-  } else if (geometry == "three-element") {
-    opts.airfoil = make_three_element(surface_points);
-  } else if (geometry.rfind("naca", 0) == 0 && geometry.size() == 8) {
-    AirfoilElement e;
-    e.name = geometry;
-    e.surface = naca4_polyline(Naca4::from_code(geometry.substr(4)),
-                               surface_points);
-    opts.airfoil.elements.push_back(std::move(e));
-  } else if (geometry == "naca0012") {
-    opts.airfoil = make_naca0012(surface_points);
-  } else {
-    usage(argv[0], false);
+  // A geometry that cannot be loaded is a usage error (exit 2), never an
+  // uncaught exception.
+  try {
+    if (!poly_path.empty()) {
+      opts.airfoil = load_poly_geometry(poly_path);
+    } else if (geometry == "three-element") {
+      opts.airfoil = make_three_element(surface_points);
+    } else if (geometry.rfind("naca", 0) == 0 && geometry.size() == 8) {
+      AirfoilElement e;
+      e.name = geometry;
+      e.surface = naca4_polyline(Naca4::from_code(geometry.substr(4)),
+                                 surface_points);
+      opts.airfoil.elements.push_back(std::move(e));
+    } else if (geometry == "naca0012") {
+      opts.airfoil = make_naca0012(surface_points);
+    } else {
+      usage(argv[0], false);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
   }
 
   // Typed validation of the whole option set: print every issue, stop on

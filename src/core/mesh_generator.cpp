@@ -286,8 +286,7 @@ MeshGenerationResult generate_mesh(const Options& opts) {
     AERO_TRACE_SPAN("pipeline", "inviscid_refinement");
     for (const InviscidSubdomain& sub : subdomains) {
       Timer t;
-      const TriangulateResult r =
-          refine_subdomain(sub, domain.sizing, opts.threads_per_rank);
+      const TriangulateResult r = refine_subdomain(sub, domain.sizing);
       result.inviscid_task_seconds.push_back(t.seconds());
       result.mesh.append(r.mesh);
     }

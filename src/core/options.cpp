@@ -128,14 +128,8 @@ std::vector<OptionIssue> Options::validate() const {
     err(issues, "inviscid_max_level", "depth cap must be >= 0");
   }
   if (ranks < 0) err(issues, "ranks", "rank count must be >= 0");
-  if (threads_per_rank < 1) {
-    err(issues, "threads_per_rank", "thread count must be >= 1");
-  }
   if (rma_threshold == 0) {
     err(issues, "rma_threshold", "threshold must be >= 1 byte");
-  }
-  if (coalesce_us < 0) {
-    err(issues, "coalesce_us", "coalesce delay must be >= 0");
   }
   if (ack_timeout_ms < 1) {
     err(issues, "ack_timeout_ms", "ack timeout must be >= 1 ms");
@@ -291,16 +285,6 @@ const std::vector<OptionSpec>& option_specs() {
                    o.ranks = static_cast<int>(v);
                    return true;
                  }});
-    s.push_back({"--threads-per-rank", "T",
-                 "threads inside each rank's subdomain refinement "
-                 "(performance-only; the mesh is identical at every T)",
-                 std::to_string(d.threads_per_rank),
-                 [](Options& o, const char* t) {
-                   long v;
-                   if (!parse_long(t, &v)) return false;
-                   o.threads_per_rank = static_cast<int>(v);
-                   return true;
-                 }});
     s.push_back({"--rma", "on|off",
                  "zero-copy RMA-window transport for large pool payloads",
                  d.rma ? "on" : "off",
@@ -315,12 +299,6 @@ const std::vector<OptionSpec>& option_specs() {
                    if (!parse_long(t, &v) || v < 0) return false;
                    o.rma_threshold = static_cast<std::size_t>(v);
                    return true;
-                 }});
-    s.push_back({"--coalesce-us", "N",
-                 "coalesce small pool control messages, flush after N us",
-                 std::to_string(d.coalesce_us),
-                 [](Options& o, const char* t) {
-                   return parse_long(t, &o.coalesce_us);
                  }});
     s.push_back({"--ack-timeout-ms", "N",
                  "retransmit unacked pool transfers after N ms",

@@ -86,19 +86,14 @@ struct Options {
   // -- Parallel runtime ---------------------------------------------------
   /// Rank count of the in-process pool; 0 = run the sequential pipeline.
   int ranks = 0;
-  /// Intra-rank threads for each subdomain refinement (1 = sequential
-  /// kernel). Performance-only: the mesh is bit-identical at every value
-  /// (see RefineOptions::threads), so — like the transport knobs below —
-  /// this never participates in mesh-defining hashes or cache keys.
-  int threads_per_rank = 1;
+  /// Each rank meshes its subdomains on one thread. A constant, not a knob;
+  /// it stays only because the benchmark harness in perfbench/ reads it.
+  static constexpr int threads_per_rank = 1;
   /// Zero-copy RMA-window transport for large pool payloads (off = the
   /// full-copy frame path, kept for differential testing).
   bool rma = true;
   /// Payloads at or above this many bytes move through the RMA window.
   std::size_t rma_threshold = 1024;
-  /// Coalesce small pool control messages, flushing lanes after this many
-  /// microseconds (0 = coalescing off).
-  long coalesce_us = 0;
   /// Unacknowledged pool work transfers are retransmitted after this long.
   long ack_timeout_ms = 25;
   /// A rank whose heartbeat stalls this long is declared dead and its
@@ -128,7 +123,7 @@ struct Options {
   /// finalized subdomains to a CRC-framed journal in this directory instead
   /// of holding their triangle soup resident, then merges window-by-window
   /// under the resident budget below. The merged mesh is bit-identical to
-  /// the in-RAM path at every rank/thread count ("" = merge in RAM).
+  /// the in-RAM path at every rank count ("" = merge in RAM).
   std::string merge_spill_dir;
   /// Resident-payload budget for the spill merge, in MiB. Each merge window
   /// loads at most this many payload bytes (always at least one record).
@@ -181,13 +176,11 @@ struct Options {
     return *this;
   }
   Options& set_ranks(int n) { ranks = n; return *this; }
-  Options& set_threads_per_rank(int n) { threads_per_rank = n; return *this; }
   Options& set_rma(bool on) { rma = on; return *this; }
   Options& set_rma_threshold(std::size_t bytes) {
     rma_threshold = bytes;
     return *this;
   }
-  Options& set_coalesce_us(long us) { coalesce_us = us; return *this; }
   Options& set_ack_timeout_ms(long ms) { ack_timeout_ms = ms; return *this; }
   Options& set_heartbeat_timeout_ms(long ms) {
     heartbeat_timeout_ms = ms;

@@ -15,6 +15,15 @@ namespace {
 /// cell are inserted consecutively anyway.
 constexpr int kHilbertOrder = 16;
 
+/// splitmix64: the deterministic per-index "coin" hash of the round
+/// assignment. Stateless, so a point's round depends only on its index.
+std::uint64_t splitmix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ull;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
 }  // namespace
 
 std::uint64_t hilbert_d(std::uint32_t x, std::uint32_t y, int order) {
@@ -76,44 +85,6 @@ std::vector<std::uint32_t> brio_order(const std::vector<Vec2>& pts) {
               }
               if (keys[a].hilbert != keys[b].hilbert) {
                 return keys[a].hilbert < keys[b].hilbert;
-              }
-              return a < b;  // deterministic tiebreak
-            });
-  return perm;
-}
-
-std::vector<std::uint32_t> brio_scatter_order(const std::vector<Vec2>& pts) {
-  const std::size_t n = pts.size();
-  std::vector<std::uint32_t> perm(n);
-  std::iota(perm.begin(), perm.end(), 0u);
-  if (n < 2) return perm;
-
-  // Same round ladder as brio_order (the rounds are what keep the committed
-  // mesh uniformly dense at every stage); the within-round key is a second,
-  // independent splitmix64 stream, i.e. a deterministic shuffle.
-  int nrounds = 1;
-  while ((n >> (nrounds + 5)) > 0 && nrounds < 24) ++nrounds;
-
-  struct Key {
-    std::uint8_t round;
-    std::uint64_t shuffle;
-  };
-  std::vector<Key> keys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int heads =
-        std::countr_one(splitmix64(static_cast<std::uint64_t>(i)));
-    const int round = std::max(0, nrounds - 1 - heads);
-    keys[i] = {static_cast<std::uint8_t>(round),
-               splitmix64(static_cast<std::uint64_t>(i) ^
-                          0xc2b2ae3d27d4eb4full)};
-  }
-  std::sort(perm.begin(), perm.end(),
-            [&keys](std::uint32_t a, std::uint32_t b) {
-              if (keys[a].round != keys[b].round) {
-                return keys[a].round < keys[b].round;
-              }
-              if (keys[a].shuffle != keys[b].shuffle) {
-                return keys[a].shuffle < keys[b].shuffle;
               }
               return a < b;  // deterministic tiebreak
             });

@@ -22,17 +22,6 @@
 
 namespace aero {
 
-/// splitmix64: the deterministic per-index "coin"/shuffle hash used by the
-/// BRIO round assignment, the scatter order, and the parallel inserter's
-/// per-point walk seeds. Stateless, so every consumer gets the same value
-/// for the same index regardless of call order or thread.
-inline std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
 /// Distance along the Hilbert curve of order `order` (a 2^order x 2^order
 /// grid) for cell (x, y). Exposed for tests; coordinates must be < 2^order.
 std::uint64_t hilbert_d(std::uint32_t x, std::uint32_t y, int order);
@@ -43,16 +32,5 @@ std::uint64_t hilbert_d(std::uint32_t x, std::uint32_t y, int order);
 /// Deterministic for a given input. Duplicate points are kept (the mesher
 /// merges them on insertion).
 std::vector<std::uint32_t> brio_order(const std::vector<Vec2>& pts);
-
-/// The scatter insertion permutation for the intra-rank parallel kernel:
-/// the same geometric BRIO rounds as brio_order (each round doubles the
-/// committed density, keeping every locate walk short), but *within* a round
-/// the points are shuffled pseudorandomly instead of Hilbert-sorted. A
-/// speculation window is a consecutive chunk of this order, so scattering
-/// within rounds spreads each window uniformly over the domain -- two points
-/// of one window almost never touch overlapping cavities, which is what
-/// keeps the deterministic conflict-resolution fallback rare. Deterministic
-/// for a given input, like brio_order.
-std::vector<std::uint32_t> brio_scatter_order(const std::vector<Vec2>& pts);
 
 }  // namespace aero

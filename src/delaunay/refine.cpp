@@ -2,7 +2,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <thread>
 
 #include "geom/predicates.hpp"
 #include "geom/predicates_fast.hpp"
@@ -194,68 +193,17 @@ RefineStats RuppertRefiner::refine() {
   seg_queue_.clear();
   tri_queue_.clear();
 
-  // Initial scans. The scan visits live inside triangles in id order; the
-  // threaded variant must reproduce that order exactly (the queues drive
-  // the insertion sequence, and the refined mesh must not depend on the
-  // thread count), so it splits the id space into a fixed chunk count,
-  // scans chunks concurrently into per-chunk queues, and concatenates them
-  // in chunk order — byte-identical queues, read-only scan.
-  const auto scan_one = [this](TriIndex t, std::vector<TriIndex>& tris,
-                               std::vector<std::pair<VertIndex, VertIndex>>&
-                                   segs) {
+  // Initial scans, over live inside triangles in id order.
+  mesh_.for_each_triangle([this](TriIndex t) {
     const MeshTri& mt = mesh_.tri(t);
     if (!mt.inside) return;
-    if (triangle_is_bad(t)) tris.push_back(t);
+    if (triangle_is_bad(t)) tri_queue_.push_back(t);
     for (int i = 0; i < 3; ++i) {
       if (mt.constrained[i] && edge_is_encroached(t, i)) {
-        segs.emplace_back(mt.v[(i + 1) % 3], mt.v[(i + 2) % 3]);
+        seg_queue_.emplace_back(mt.v[(i + 1) % 3], mt.v[(i + 2) % 3]);
       }
     }
-  };
-  const auto total = static_cast<TriIndex>(mesh_.triangle_slots());
-  const int threads = std::max(1, opts_.threads);
-  if (threads > 1 && total >= 16384) {
-    constexpr std::size_t kChunks = 64;  // fixed: independent of `threads`
-    const auto chunk_len =
-        static_cast<TriIndex>((total + kChunks - 1) / kChunks);
-    std::vector<std::vector<TriIndex>> chunk_tris(kChunks);
-    std::vector<std::vector<std::pair<VertIndex, VertIndex>>> chunk_segs(
-        kChunks);
-    const auto scan_chunk = [&](std::size_t c) {
-      const TriIndex lo = static_cast<TriIndex>(c) * chunk_len;
-      const TriIndex hi = std::min<TriIndex>(total, lo + chunk_len);
-      for (TriIndex t = lo; t < hi; ++t) {
-        if (mesh_.is_live_finite(t)) {
-          scan_one(t, chunk_tris[c], chunk_segs[c]);
-        }
-      }
-    };
-    std::vector<std::thread> team;
-    team.reserve(static_cast<std::size_t>(threads - 1));
-    for (int w = 1; w < threads; ++w) {
-      team.emplace_back([&, w] {
-        for (std::size_t c = static_cast<std::size_t>(w); c < kChunks;
-             c += static_cast<std::size_t>(threads)) {
-          scan_chunk(c);
-        }
-      });
-    }
-    for (std::size_t c = 0; c < kChunks;
-         c += static_cast<std::size_t>(threads)) {
-      scan_chunk(c);
-    }
-    for (std::thread& t : team) t.join();
-    for (std::size_t c = 0; c < kChunks; ++c) {
-      tri_queue_.insert(tri_queue_.end(), chunk_tris[c].begin(),
-                        chunk_tris[c].end());
-      seg_queue_.insert(seg_queue_.end(), chunk_segs[c].begin(),
-                        chunk_segs[c].end());
-    }
-  } else {
-    mesh_.for_each_triangle([&](TriIndex t) {
-      scan_one(t, tri_queue_, seg_queue_);
-    });
-  }
+  });
 
   while (!seg_queue_.empty() || !tri_queue_.empty()) {
     if (stats_.steiner_points >= opts_.max_steiner) {

@@ -30,14 +30,6 @@ struct RefineOptions {
   /// they never *need* splitting, and splitting one would break conformity
   /// with the neighboring subdomain refined on another process.
   std::function<bool(Vec2, Vec2)> splittable;
-  /// Threads for the initial bad-triangle/encroachment scan (1 =
-  /// sequential). The scan partitions the triangle array into a fixed
-  /// number of chunks scanned concurrently (quality tests and predicates
-  /// are read-only) and concatenates the per-chunk queues in chunk order,
-  /// so the work queues — and therefore the refined mesh — are identical
-  /// at every thread count. The insertion loop itself stays sequential.
-  /// `sizing` must be safe to call concurrently when threads > 1.
-  int threads = 1;
 };
 
 /// Statistics returned by a refinement run.

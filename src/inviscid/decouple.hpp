@@ -81,12 +81,10 @@ std::vector<InviscidSubdomain> plus_split(const InviscidSubdomain& sub,
 /// graded sizing. Shared border segments are protected from splitting; the
 /// decoupling spacing guarantees refinement never needs to split them.
 ///
-/// `threads` parallelizes only the refiner's initial scan (see
-/// RefineOptions::threads) — never the border triangulation — so the
-/// subdomain mesh is identical at every thread count. That invariance is
-/// what lets threads_per_rank stay out of the service cache key.
+/// The third parameter is ignored. It remains only so that the benchmark
+/// harness call in perfbench/mesh.cpp, which passes
+/// Options::threads_per_rank (always 1), keeps compiling.
 TriangulateResult refine_subdomain(const InviscidSubdomain& sub,
-                                   const GradedSizing& sizing,
-                                   int threads = 1);
+                                   const GradedSizing& sizing, int = 1);
 
 }  // namespace aero

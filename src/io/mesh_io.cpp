@@ -1,7 +1,11 @@
 #include "io/mesh_io.hpp"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <fstream>
+#include <iterator>
+#include <sstream>
 #include <stdexcept>
 
 #include "core/mesh_view.hpp"
@@ -101,12 +105,30 @@ void write_poly(const Pslg& pslg, const std::string& path) {
 }
 
 Pslg read_poly(const std::string& path) {
-  std::ifstream f(path);
-  if (!f) throw std::runtime_error("cannot open for reading: " + path);
+  std::ifstream in(path);
+  if (!in) throw PolyFormatError("cannot open for reading: " + path);
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  std::istringstream f(text);
+  const auto fail = [&path](const std::string& why) {
+    return PolyFormatError(why + ": " + path);
+  };
+  // Every count is checked against what the file can hold before anything
+  // is allocated or looped over: a token takes at least one byte plus a
+  // separator. An entry is an id, two values and `extra` trailing tokens.
+  const std::size_t max_tokens = text.size() / 2 + 1;
+  const auto check_count = [&](std::size_t count, std::size_t extra,
+                               const char* what) {
+    if (extra > max_tokens || count > max_tokens / (3 + extra)) {
+      throw fail(std::string(what) + " count exceeds the file contents");
+    }
+  };
+
   Pslg pslg;
   std::size_t np, dim, nattr, nmark;
   f >> np >> dim >> nattr >> nmark;
-  if (!f || dim != 2) throw std::runtime_error("bad .poly header: " + path);
+  if (!f || dim != 2) throw fail("bad .poly header");
+  check_count(np, std::min(nattr, max_tokens) + (nmark ? 1 : 0), "vertex");
   pslg.points.resize(np);
   if (nmark) pslg.point_markers.resize(np);
   for (std::size_t i = 0; i < np; ++i) {
@@ -117,9 +139,15 @@ Pslg read_poly(const std::string& path) {
       f >> skip;
     }
     if (nmark) f >> pslg.point_markers[i];
+    if (!f) throw fail("truncated or unreadable vertex");
+    if (!std::isfinite(pslg.points[i].x) || !std::isfinite(pslg.points[i].y)) {
+      throw fail("non-finite vertex coordinate");
+    }
   }
   std::size_t ns, smark;
   f >> ns >> smark;
+  if (!f) throw fail("bad segment header");
+  check_count(ns, smark, "segment");
   pslg.segments.resize(ns);
   for (std::size_t i = 0; i < ns; ++i) {
     std::size_t id;
@@ -128,15 +156,24 @@ Pslg read_poly(const std::string& path) {
       int skip;
       f >> skip;
     }
+    if (!f) throw fail("truncated or unreadable segment");
+    if (pslg.segments[i].first >= np || pslg.segments[i].second >= np) {
+      throw fail("segment endpoint out of range");
+    }
   }
   std::size_t nh;
   f >> nh;
+  if (!f) throw fail("bad hole header");
+  check_count(nh, 0, "hole");
   pslg.holes.resize(nh);
   for (std::size_t i = 0; i < nh; ++i) {
     std::size_t id;
     f >> id >> pslg.holes[i].x >> pslg.holes[i].y;
+    if (!f) throw fail("truncated or unreadable hole");
+    if (!std::isfinite(pslg.holes[i].x) || !std::isfinite(pslg.holes[i].y)) {
+      throw fail("non-finite hole coordinate");
+    }
   }
-  if (!f) throw std::runtime_error("truncated .poly file: " + path);
   return pslg;
 }
 

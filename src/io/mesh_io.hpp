@@ -1,5 +1,6 @@
 #pragma once
 
+#include <stdexcept>
 #include <string>
 
 #include "core/merged_mesh.hpp"
@@ -21,7 +22,15 @@ void write_node_ele(const MergedMesh& mesh, const std::string& basename);
 /// little-endian [n_points, n_tris, points..., tris...] layout.
 void write_binary(const MergedMesh& mesh, const std::string& path);
 
-/// Write / read a PSLG in a simple .poly-like ASCII format.
+/// A .poly file that cannot be opened or does not describe a valid PSLG.
+class PolyFormatError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
+/// Write / read a PSLG in a simple .poly-like ASCII format. read_poly
+/// throws PolyFormatError unless every count fits the file's contents,
+/// every coordinate is finite, and every segment endpoint names a vertex.
 void write_poly(const Pslg& pslg, const std::string& path);
 Pslg read_poly(const std::string& path);
 

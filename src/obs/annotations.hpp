@@ -93,12 +93,12 @@
 /// Declares shared mutable state in the Delaunay/geometry kernel modules
 /// and names its synchronization discipline for the kernel-shared-state
 /// audit:
-///   mutable TriIndex last_tri_ AERO_SHARED_STATE("main thread only");
+///   mutable TriIndex last_tri_ AERO_SHARED_STATE("per-mesh; one thread owns each mesh");
 /// The audit (tools/aerolint/kernel_state.py) flags every `mutable` member,
 /// namespace-scope mutable global, and function-local `static` in
-/// src/delaunay and src/geom that lacks this annotation: each one is state
-/// the multi-threaded kernel insert path could reach, and each must declare
-/// who may touch it (phase-barrier ownership, main-thread-only, per-thread).
+/// src/delaunay and src/geom that lacks this annotation: pool ranks and
+/// service workers run the kernel concurrently on separate meshes, so each
+/// one must declare who may touch it (per-mesh ownership, per-thread).
 /// `thread_local`, `const`, `constexpr`, and std::atomic declarations are
 /// exempt (per-thread or immutable or covered by the atomics audit).
 #define AERO_SHARED_STATE(...)

@@ -26,7 +26,6 @@ enum MsgTag : int {
   kTagWorkAck = 6,       ///< acknowledges a work transfer (payload: nonce)
   kTagFaultRetry = 7,    ///< unit re-queued away from a failing rank
   kTagResultAck = 8,     ///< root acknowledges a rank's result payload
-  kTagBatch = 9,         ///< coalesced small messages (see runtime/rma.hpp)
 };
 
 /// A point-to-point message. The payload stores up to 64 bytes inline
@@ -125,35 +124,11 @@ class FaultInjector {
   std::atomic<std::size_t> unit_faults_ AERO_ATOMIC_ROLE(counter){0};
 };
 
-/// Coalescing policy for small control messages: sends at or below
-/// `small_threshold` bytes from a real rank are staged per (src, dst) pair
-/// and shipped as one kTagBatch message when the pair accumulates
-/// `max_messages`/`max_bytes` or its oldest stage entry ages past
-/// `flush_delay` (enforced by the owner thread calling maybe_flush from its
-/// poll loop). flush_delay zero disables coalescing entirely.
-struct CoalesceOptions {
-  std::chrono::microseconds flush_delay{0};
-  std::size_t small_threshold = 64;
-  std::size_t max_messages = 8;
-  std::size_t max_bytes = 512;
-};
-
-/// One staged message awaiting a coalesced flush (batch codec: rma.hpp).
-struct StagedMessage {
-  int tag = 0;
-  ByteBuf payload;
-};
-
-/// Wire accounting, counted at the point a message is actually posted into
-/// a mailbox (so a coalesced batch is one message and retransmits count per
-/// copy). `coalesced` counts the original small messages that rode inside a
-/// multi-message batch.
+/// Wire accounting, counted at the point a message is sent (every send is
+/// one message, and retransmits count per copy).
 struct CommStats {
   std::size_t messages = 0;
   std::size_t payload_bytes = 0;
-  std::size_t batches = 0;
-  std::size_t coalesced = 0;
-  std::size_t batch_rejects = 0;  ///< corrupted batches dropped at unpack
 };
 
 /// In-process message-passing fabric: one mailbox per rank, blocking
@@ -165,7 +140,6 @@ struct CommStats {
 class Communicator {
  public:
   explicit Communicator(int nranks);
-  ~Communicator();  // out-of-line: Sender is incomplete here
 
   int size() const { return static_cast<int>(boxes_.size()); }
 
@@ -173,23 +147,8 @@ class Communicator {
   /// with concurrent sends -- install before the pool threads start).
   void set_fault_injector(FaultInjector* injector) { injector_ = injector; }
 
-  /// Configure small-message coalescing (install before the pool threads
-  /// start). Staged lanes are keyed by sender, so each sending thread must
-  /// drive its own maybe_flush.
-  void set_coalescing(CoalesceOptions opts) { copts_ = opts; }
-
   /// Enqueue a message into `to`'s mailbox (subject to fault injection).
-  /// Small messages from a real rank may be staged for coalescing; a large
-  /// or non-coalescable send first flushes the (from, to) lane so per-pair
-  /// FIFO order is preserved.
   void send(int from, int to, int tag, ByteBuf payload = {});
-
-  /// Ship staged lanes of `from` whose oldest entry is older than the flush
-  /// delay. Called by the owning thread from its poll loop.
-  void maybe_flush(int from);
-
-  /// Ship every staged lane of `from` immediately (shutdown, phase ends).
-  void flush(int from);
 
   /// Blocking receive of the next message for `rank`.
   Message recv(int rank);
@@ -197,8 +156,7 @@ class Communicator {
   /// Non-blocking receive.
   std::optional<Message> try_recv(int rank);
 
-  /// Count of queued messages, including not-yet-due delayed ones (batches
-  /// count as one until unpacked by a receive).
+  /// Count of queued messages, including not-yet-due delayed ones.
   std::size_t pending(int rank) const;
 
   CommStats stats() const;
@@ -214,31 +172,17 @@ class Communicator {
     std::deque<Message> q AERO_GUARDED_BY(m);
     std::vector<Delayed> delayed AERO_GUARDED_BY(m);
   };
-  struct Lane;
-  struct Sender;
   /// Move due delayed messages into the FIFO. Caller holds `box.m`.
   static void promote_due(Mailbox& box, std::chrono::steady_clock::time_point now)
       AERO_REQUIRES(box.m);
-  /// Pop the next deliverable message, expanding batches in place. Caller
-  /// holds `box.m`.
+  /// Pop the next deliverable message. Caller holds `box.m`.
   std::optional<Message> pop_ready(Mailbox& box) AERO_REQUIRES(box.m);
   void deliver(int to, Message msg, std::chrono::microseconds delay);
-  /// Injector + mailbox entry point every message funnels through.
-  void post(int from, int to, int tag, ByteBuf payload);
-  bool coalescing_enabled() const { return copts_.flush_delay.count() > 0; }
-  /// Post a drained lane: singletons go out unwrapped, 2+ as one batch.
-  void ship(int from, int to, std::vector<StagedMessage> parts);
-  void flush_lane(int from, int to);
 
   std::vector<Mailbox> boxes_;
-  std::vector<std::unique_ptr<Sender>> senders_;
-  CoalesceOptions copts_;
   FaultInjector* injector_ = nullptr;
   std::atomic<std::size_t> messages_ AERO_ATOMIC_ROLE(counter){0};
   std::atomic<std::size_t> payload_bytes_ AERO_ATOMIC_ROLE(counter){0};
-  std::atomic<std::size_t> batches_ AERO_ATOMIC_ROLE(counter){0};
-  std::atomic<std::size_t> coalesced_ AERO_ATOMIC_ROLE(counter){0};
-  std::atomic<std::size_t> batch_rejects_ AERO_ATOMIC_ROLE(counter){0};
 };
 
 /// Remote-memory-access window emulation for *scheduling state*: an array of

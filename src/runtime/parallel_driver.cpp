@@ -1,7 +1,11 @@
 #include "runtime/parallel_driver.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <utility>
 
@@ -12,6 +16,37 @@
 #include "runtime/checkpoint.hpp"
 
 namespace aero {
+
+namespace {
+
+/// The spill file of one pool pass. It is created exclusively under a
+/// unique name in `dir` (mkstemp), so runs that share a spill directory
+/// never touch each other's scratch, and it is removed when the pass ends.
+/// An empty `dir`, or one where no file can be created, leaves path()
+/// empty: the pass then merges in RAM.
+class SpillFile {
+ public:
+  SpillFile(const std::string& dir, const char* stem) {
+    if (dir.empty()) return;
+    std::string name = dir + "/" + stem + ".spill.XXXXXX";
+    const int fd = ::mkstemp(name.data());
+    if (fd < 0) return;
+    ::close(fd);
+    path_ = std::move(name);
+  }
+  ~SpillFile() {
+    if (!path_.empty()) std::remove(path_.c_str());
+  }
+  SpillFile(const SpillFile&) = delete;
+  SpillFile& operator=(const SpillFile&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+}  // namespace
 
 ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
                                           const FaultConfig& faults,
@@ -118,9 +153,8 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
   GradedSizing placeholder;
   {
     AERO_TRACE_SPAN("pipeline", "boundary_layer_pool");
-    if (!opts.merge_spill_dir.empty()) {
-      pool_opts.spill_path = opts.merge_spill_dir + "/bl.spill";
-    }
+    const SpillFile spill(opts.merge_spill_dir, "bl");
+    pool_opts.spill_path = spill.path();
     std::vector<WorkUnit> initial;
     initial.push_back(WorkUnit{WorkUnit::Kind::kBlDecompose,
                                make_root_subdomain(result.boundary_layer.points),
@@ -162,9 +196,8 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts, int nranks,
   Timer t4;
   {
     AERO_TRACE_SPAN("pipeline", "inviscid_pool");
-    if (!opts.merge_spill_dir.empty()) {
-      pool_opts.spill_path = opts.merge_spill_dir + "/inviscid.spill";
-    }
+    const SpillFile spill(opts.merge_spill_dir, "inviscid");
+    pool_opts.spill_path = spill.path();
     std::vector<WorkUnit> initial;
     for (InviscidSubdomain& quad : initial_quadrants(domain)) {
       initial.push_back(
@@ -213,12 +246,10 @@ ParallelMeshResult parallel_generate_mesh(const Options& opts,
   PoolTuning tuning;
   tuning.rma = opts.rma;
   tuning.rma_threshold = opts.rma_threshold;
-  tuning.coalesce_delay = std::chrono::microseconds(opts.coalesce_us);
   tuning.ack_timeout = std::chrono::milliseconds(opts.ack_timeout_ms);
   tuning.heartbeat_timeout =
       std::chrono::milliseconds(opts.heartbeat_timeout_ms);
   tuning.watchdog_timeout = std::chrono::seconds(scaled_watchdog_seconds(opts));
-  tuning.threads_per_rank = opts.threads_per_rank;
   ResilienceOptions resilience;
   resilience.budget.wall_ms = opts.budget_wall_ms;
   resilience.budget.peak_rss_mb = opts.budget_rss_mb;
@@ -262,8 +293,6 @@ void publish_pool_metrics(const PoolStats& stats, const std::string& prefix) {
   count("comm_bytes", stats.comm_bytes);
   count("zero_copy_hits", stats.zero_copy_hits);
   count("window_bytes", stats.window_bytes);
-  count("coalesced_messages", stats.coalesced_messages);
-  count("batch_rejects", stats.batch_rejects);
   count("buffer_pool_hits", stats.buffer_pool_hits);
   count("buffer_pool_misses", stats.buffer_pool_misses);
   std::size_t units = 0;
@@ -289,7 +318,6 @@ void publish_pool_metrics(const PoolStats& stats, const std::string& prefix) {
   reg.counter("comm.bytes").add(stats.comm_bytes);
   reg.counter("comm.msgs").add(stats.comm_messages);
   reg.counter("comm.zero_copy_hits").add(stats.zero_copy_hits);
-  reg.counter("pool.coalesced").add(stats.coalesced_messages);
 }
 
 std::vector<obs::RankLoad> rank_loads(const ParallelMeshResult& result) {

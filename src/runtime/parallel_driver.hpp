@@ -75,7 +75,7 @@ struct ParallelMeshResult {
 /// is always on. A non-null `trace` records both pool passes' protocol
 /// events for audit_protocol(); `opts.phase_hook` fires at the same phase
 /// boundaries as in the sequential pipeline. `tuning` selects the transport
-/// (RMA windows vs full-copy frames, small-message coalescing) and the
+/// (RMA windows vs full-copy frames) and the
 /// fault-tolerance timeouts for both pool passes. `resilience` wires
 /// checkpointing, resume, budgets, and the external stop flag; a run
 /// stopped mid-boundary-layer returns the raw partial BL mesh (no ring

@@ -157,9 +157,6 @@ struct SharedState {
       payload_windows.emplace_back(&buffers);
     }
     comm.set_fault_injector(&injector);
-    CoalesceOptions co;
-    co.flush_delay = o.tuning.coalesce_delay;
-    comm.set_coalescing(co);
   }
 };
 
@@ -340,7 +337,7 @@ void expand_unit(const GradedSizing& sizing, const PoolOptions& opts,
     if (!leaf) kids = plus_split(unit.inv, sizing);
     if (leaf || kids.empty()) {
       const TriangulateResult r =
-          refine_subdomain(unit.inv, sizing, opts.tuning.threads_per_rank);
+          refine_subdomain(unit.inv, sizing);
       r.mesh.for_each_triangle([&](TriIndex t) {
         const MeshTri& mt = r.mesh.tri(t);
         if (!mt.inside) return;
@@ -651,7 +648,6 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
   while (!shut && !shared.abort.load()) {
     if (rs.crashed.load()) return;  // injected crash: vanish silently
     shared.window.beat(static_cast<std::size_t>(rank));
-    shared.comm.maybe_flush(rank);
     if (auto msg = shared.comm.try_recv(rank)) {
       AERO_TRACE_SPAN("pool", "handle_message");
       const Timer handling;
@@ -906,7 +902,6 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
     trace_event(shared, ProtocolEvent::Kind::kAbandoned, nonce, rank, f.dest);
   }
   in_flight.clear();
-  shared.comm.flush(rank);  // staged acks must not outlive the poll loop
   {
     MutexLock lock(rs.m);
     rs.shutdown = true;
@@ -940,7 +935,6 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
         }
       }
       if (complete) break;
-      shared.comm.maybe_flush(0);
       if (auto msg = shared.comm.try_recv(0)) {
         if (msg->tag == kTagResult) root_accept_result(shared, *msg);
         continue;
@@ -1024,7 +1018,6 @@ void communicator_main(SharedState& shared, std::vector<RankState>& ranks,
       trace_event(shared, ProtocolEvent::Kind::kAbandoned, nonce, rank, 0);
     }
   }
-  shared.comm.flush(rank);
   shared.comm_exited[static_cast<std::size_t>(rank)].store(true);
 }
 
@@ -1130,7 +1123,6 @@ void monitor_main(SharedState& shared, std::vector<RankState>& ranks) {
       while (auto msg = shared.comm.try_recv(0)) {
         if (msg->tag == kTagResult) root_accept_result(shared, *msg);
       }
-      shared.comm.flush(0);  // push out any acks staged on rank 0's behalf
     }
 
     // Heartbeat scan (rank 0 is the root and is never declared dead).
@@ -1274,9 +1266,6 @@ void merge_spilled(SharedState& shared, const PoolOptions& opts,
     }
   }
   reader.close();
-  // The spill is single-run scratch; remove it once merged. Failure to
-  // remove is harmless (the next run truncates it on open).
-  std::remove(opts.spill_path.c_str());
 }
 
 }  // namespace
@@ -1476,8 +1465,6 @@ PoolStats run_pool(std::vector<WorkUnit> initial, const GradedSizing& sizing,
     const CommStats cs = shared.comm.stats();
     stats.comm_messages = cs.messages;
     stats.comm_bytes = cs.payload_bytes;
-    stats.coalesced_messages = cs.coalesced;
-    stats.batch_rejects = cs.batch_rejects;
   }
   stats.zero_copy_hits = shared.zero_copy.load(std::memory_order_relaxed);
   stats.window_bytes = shared.window_bytes.load(std::memory_order_relaxed);

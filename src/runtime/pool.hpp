@@ -16,8 +16,7 @@ class CheckpointSink;
 class ResumeState;
 
 /// Transport and robustness tuning shared by the pool, drivers, and CLI:
-/// the RMA-vs-copy A/B switch, the small-message coalescing bound, and the
-/// fault-tolerance timeouts. Kept as its own struct so callers (benches,
+/// the RMA-vs-copy A/B switch and the fault-tolerance timeouts. Kept as its own struct so callers (benches,
 /// tests, aeromesh flags) can thread it through parallel_generate_mesh
 /// without restating every pool option.
 struct PoolTuning {
@@ -28,8 +27,6 @@ struct PoolTuning {
   /// bit-identical either way).
   bool rma = true;
   std::size_t rma_threshold = 1024;
-  /// Bounded flush delay for small-control-message coalescing (0 = off).
-  std::chrono::microseconds coalesce_delay{0};
   /// Unacknowledged work transfers are retransmitted after this long.
   std::chrono::milliseconds ack_timeout{25};
   /// A rank whose heartbeat stalls this long is declared dead: its queued
@@ -38,11 +35,6 @@ struct PoolTuning {
   /// Global bound on the whole run (including the result gather). When it
   /// expires the pool is force-terminated and reports RunStatus::kFailed.
   std::chrono::seconds watchdog_timeout{120};
-  /// Intra-rank threads for each subdomain refinement (RefineOptions::
-  /// threads on the mesher's refine_subdomain calls). Performance-only:
-  /// the refined subdomain mesh is identical at every value, so this is
-  /// runtime tuning like the timeouts above, never mesh-defining.
-  int threads_per_rank = 1;
 };
 
 /// Run-level budget enforced by the pool's monitor thread. Unlike the
@@ -122,7 +114,9 @@ struct PoolOptions {
   /// this CRC-framed spill journal instead of holding them resident, then
   /// merges window-by-window under `merge_resident_bytes`. The merged mesh
   /// is bit-identical to the in-RAM path; a spill write failure degrades
-  /// that block back to resident, never the run. "" = in-RAM merge.
+  /// that block back to resident, never the run. "" = in-RAM merge. The
+  /// caller owns the file: it picks a name no other run uses and removes
+  /// the file after the pass.
   std::string spill_path;
   /// Resident-payload budget of the windowed spill merge, in bytes. At
   /// least one record is always loaded per window, so the merge progresses
@@ -146,8 +140,6 @@ struct PoolStats {
   std::size_t comm_bytes = 0;     ///< payload bytes copied through mailboxes
   std::size_t zero_copy_hits = 0; ///< payloads that moved by window handoff
   std::size_t window_bytes = 0;   ///< payload bytes moved zero-copy
-  std::size_t coalesced_messages = 0;  ///< small messages that rode a batch
-  std::size_t batch_rejects = 0;  ///< corrupted batches dropped at unpack
   std::size_t buffer_pool_hits = 0;    ///< serialization buffers recycled
   std::size_t buffer_pool_misses = 0;  ///< fresh buffer allocations
 

@@ -104,53 +104,6 @@ std::uint64_t payload_digest(const std::uint8_t* data, std::size_t n) {
   return h;
 }
 
-ByteBuf encode_batch(const std::vector<StagedMessage>& parts) {
-  std::size_t total = 4 + 4;  // count + trailer CRC
-  for (const StagedMessage& s : parts) total += 8 + s.payload.size();
-  std::vector<std::uint8_t> b;
-  b.reserve(total);
-  const auto append = [&b](const void* p, std::size_t n) {
-    const auto* u = static_cast<const std::uint8_t*>(p);
-    b.insert(b.end(), u, u + n);
-  };
-  const std::uint32_t count = static_cast<std::uint32_t>(parts.size());
-  append(&count, 4);
-  for (const StagedMessage& s : parts) {
-    const std::int32_t tag = s.tag;
-    const std::uint32_t len = static_cast<std::uint32_t>(s.payload.size());
-    append(&tag, 4);
-    append(&len, 4);
-    append(s.payload.data(), s.payload.size());
-  }
-  const std::uint32_t crc = crc32(b.data(), b.size());
-  append(&crc, 4);
-  return ByteBuf(std::move(b));
-}
-
-bool decode_batch(const ByteBuf& payload, int from,
-                  std::vector<Message>& out) {
-  const std::uint8_t* p = payload.data();
-  const std::size_t n = payload.size();
-  if (n < 8) return false;
-  if (load<std::uint32_t>(p + n - 4) != crc32(p, n - 4)) return false;
-  const std::uint32_t count = load<std::uint32_t>(p);
-  std::size_t pos = 4;
-  std::vector<Message> parts;
-  parts.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (pos + 8 > n - 4) return false;
-    const std::int32_t tag = load<std::int32_t>(p + pos);
-    const std::uint32_t len = load<std::uint32_t>(p + pos + 4);
-    pos += 8;
-    if (pos + len > n - 4) return false;
-    parts.push_back(Message{tag, from, ByteBuf(p + pos, len)});
-    pos += len;
-  }
-  if (pos != n - 4) return false;  // trailing garbage
-  out = std::move(parts);
-  return true;
-}
-
 std::uint32_t PayloadWindow::publish(std::uint64_t nonce,
                                      std::vector<std::uint8_t> bytes) {
   published_.fetch_add(1, std::memory_order_relaxed);

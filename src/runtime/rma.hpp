@@ -83,25 +83,6 @@ std::optional<std::uint64_t> parse_ack(const ByteBuf& b);
 /// enough that a frame paired with the wrong or stale slot contents fails.
 std::uint64_t payload_digest(const std::uint8_t* data, std::size_t n);
 
-// ---------------------------------------------------------------------------
-// Small-message coalescing batches.
-//
-//   [count:4] ([tag:4][len:4][bytes...])* [crc:4]
-//
-// The whole batch is one fabric message (one injector draw, one mailbox
-// hop); a corrupted batch is dropped wholesale at unpack and the individual
-// senders' ack/retransmit machinery recovers whatever mattered.
-// ---------------------------------------------------------------------------
-
-ByteBuf encode_batch(const std::vector<StagedMessage>& parts);
-
-/// Unpack a batch payload into messages stamped with `from`; false (and no
-/// output) when the batch CRC or structure is invalid.
-bool decode_batch(const ByteBuf& payload, int from,
-                  std::vector<Message>& out);
-
-// ---------------------------------------------------------------------------
-
 /// Per-rank registered payload window: the zero-copy half of a transfer.
 /// The donor publishes the serialized payload under the dispatch nonce and
 /// sends only a control frame; the receiver takes the bytes by ownership

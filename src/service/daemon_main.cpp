@@ -66,11 +66,6 @@ constexpr Flag kFlags[] = {
      "admission queue bound; beyond it requests are rejected kOverloaded "
      "(default 16)"},
     {"--cache-mb", "N", "result cache budget in MiB, 0 disables (default 256)"},
-    {"--threads-per-rank", "T",
-     "intra-rank threads forced onto every request's refinement (default 1; "
-     "performance-only, the mesh is identical at every T)"},
-    {"--allow-oversubscribe", nullptr,
-     "skip the workers x threads <= hardware cores admission check"},
     {"--hold-ms", "N",
      "debug: hold each request N ms after dequeue, before meshing (makes "
      "queue occupancy deterministic for tests; default 0)"},
@@ -130,7 +125,6 @@ int main(int argc, char** argv) {
   std::string metrics_path;
   aero::ServerConfig config;
   long hold_ms = 0;
-  bool allow_oversubscribe = false;
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -143,10 +137,6 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--help") usage(argv[0], true);
-    if (arg == "--allow-oversubscribe") {
-      allow_oversubscribe = true;
-      continue;
-    }
     if (const char* v = value("--socket")) {
       socket_path = v;
     } else if (const char* v = value("--workers")) {
@@ -155,8 +145,6 @@ int main(int argc, char** argv) {
       config.queue_capacity = static_cast<std::size_t>(std::atol(v));
     } else if (const char* v = value("--cache-mb")) {
       config.cache_bytes = static_cast<std::size_t>(std::atol(v)) << 20;
-    } else if (const char* v = value("--threads-per-rank")) {
-      config.threads_per_rank = std::atoi(v);
     } else if (const char* v = value("--hold-ms")) {
       hold_ms = std::atol(v);
     } else if (const char* v = value("--metrics")) {
@@ -164,30 +152,6 @@ int main(int argc, char** argv) {
     } else {
       std::fprintf(stderr, "error: unknown flag %s\n", arg.c_str());
       usage(argv[0], false);
-    }
-  }
-  if (config.threads_per_rank < 1) {
-    std::fprintf(stderr, "error: --threads-per-rank must be >= 1\n");
-    return 2;
-  }
-  // Total-core admission: every worker can hold threads_per_rank meshing
-  // threads at once, so the product is the daemon's steady-state thread
-  // demand. Refusing an oversubscribed launch at startup beats thrashing
-  // every tenant at runtime; --allow-oversubscribe records the operator's
-  // explicit decision to run hot (e.g. on a shared box with idle workers).
-  {
-    const unsigned cores = std::thread::hardware_concurrency();
-    const long demand = static_cast<long>(config.workers < 1 ? 1
-                                                             : config.workers) *
-                        config.threads_per_rank;
-    if (cores > 0 && demand > static_cast<long>(cores) &&
-        !allow_oversubscribe) {
-      std::fprintf(stderr,
-                   "error: workers (%d) x threads-per-rank (%d) = %ld exceeds "
-                   "the %u hardware cores; lower one or pass "
-                   "--allow-oversubscribe\n",
-                   config.workers, config.threads_per_rank, demand, cores);
-      return 2;
     }
   }
   if (hold_ms > 0) {
@@ -209,10 +173,9 @@ int main(int argc, char** argv) {
 
   aero::MeshServer server(config);
   std::printf(
-      "aeromeshd: listening on %s (workers=%d threads-per-rank=%d queue=%zu "
-      "cache=%zu MiB)\n",
-      socket_path.c_str(), config.workers, config.threads_per_rank,
-      config.queue_capacity, config.cache_bytes >> 20);
+      "aeromeshd: listening on %s (workers=%d queue=%zu cache=%zu MiB)\n",
+      socket_path.c_str(), config.workers, config.queue_capacity,
+      config.cache_bytes >> 20);
   std::fflush(stdout);
 
   std::vector<std::thread> sessions;

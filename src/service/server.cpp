@@ -67,12 +67,6 @@ std::future<MeshResponse> MeshServer::submit(MeshRequest request) {
   MeshResponse resp;
   resp.id = request.id;
   request.options = scrub_server_side(std::move(request.options));
-  // The thread budget is the operator's capacity decision, like `workers`:
-  // whatever the tenant sent is replaced by the server's setting. Done
-  // before the cache probe so the hash sees the canonical options (the knob
-  // is excluded from mesh_config_hash anyway — it is not mesh-defining).
-  request.options.threads_per_rank =
-      config_.threads_per_rank < 1 ? 1 : config_.threads_per_rank;
 
   // Typed validation first: an invalid request never consumes queue space.
   const std::vector<OptionIssue> issues = request.options.validate();
@@ -202,18 +196,6 @@ MeshResponse MeshServer::mesh_one(const MeshRequest& request,
   resp.id = request.id;
   resp.cache_key = key;
   resp.queue_ms = queue_ms;
-  // Thread-pressure accounting: every in-flight request holds its
-  // threads_per_rank in the gauge from dispatch to completion, so an
-  // operator can read service.threads_active against the core budget the
-  // daemon admitted (workers x threads <= hardware_concurrency).
-  obs::Gauge& threads_gauge =
-      obs::MetricsRegistry::global().gauge("service.threads_active");
-  const int threads = request.options.threads_per_rank < 1
-                          ? 1
-                          : request.options.threads_per_rank;
-  threads_gauge.set(static_cast<double>(
-      threads_active_.fetch_add(threads, std::memory_order_relaxed) +
-      threads));
   Timer wall;
   try {
     MergedMesh mesh;
@@ -255,9 +237,6 @@ MeshResponse MeshServer::mesh_one(const MeshRequest& request,
     resp.mesh_wall_ms = wall.seconds() * 1e3;
     counter("service.mesh_exceptions").add();
   }
-  threads_gauge.set(static_cast<double>(
-      threads_active_.fetch_sub(threads, std::memory_order_relaxed) -
-      threads));
   return resp;
 }
 

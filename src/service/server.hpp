@@ -52,12 +52,6 @@ struct ServerConfig {
   std::size_t queue_capacity = 16;
   /// Result-cache byte budget (serialized mesh bytes; 0 = caching off).
   std::size_t cache_bytes = std::size_t{256} << 20;
-  /// Intra-rank threads forced onto every admitted request
-  /// (Options::threads_per_rank). A capacity knob like `workers`, not a
-  /// tenant choice: whatever a request carries is overwritten at admission.
-  /// Safe to override precisely because the knob is not mesh-defining — the
-  /// mesh and its cache key are identical at every value.
-  int threads_per_rank = 1;
   /// Observability/test hook: runs on the worker thread after dequeue,
   /// before meshing. The daemon's --hold-ms debug flag and the overload
   /// tests use it to make queue occupancy deterministic.
@@ -128,12 +122,6 @@ class MeshServer {
   std::uint64_t seq_ AERO_GUARDED_BY(m_) = 0;
   bool stopping_ AERO_GUARDED_BY(m_) = false;
   ServerStats stats_ AERO_GUARDED_BY(m_);
-
-  /// Threads currently meshing across all workers (each in-flight request
-  /// accounts for its ranks-independent threads_per_rank). Mirrored into
-  /// the service.threads_active gauge so operators can see thread pressure
-  /// against the admission bound.
-  std::atomic<int> threads_active_ AERO_ATOMIC_ROLE(counter){0};
 
   std::vector<std::thread> workers_;
 };

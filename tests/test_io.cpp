@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "delaunay/triangulator.hpp"
 #include "io/mesh_io.hpp"
@@ -98,6 +104,49 @@ TEST_F(IoTest, ReadPolyRejectsGarbage) {
   }
   EXPECT_THROW(read_poly(path("bad.poly")), std::runtime_error);
   EXPECT_THROW(read_poly(path("missing.poly")), std::runtime_error);
+}
+
+// Hostile .poly inputs that once ended in a signal or an abort: each must
+// be a typed read error, and the CLI must turn it into exit 2 with an
+// "error:" line. Each process works in its own directory, so parallel test
+// runs never share files.
+TEST(PolyImport, HostileFilesAreTypedErrorsAndExitTwo) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("aeromesh_poly_import_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const struct {
+    const char* name;
+    const char* text;
+  } cases[] = {
+      {"segment_out_of_range.poly",
+       "3 2 0 0\n0 0 0\n1 1 0\n2 0 1\n3 0\n0 0 1\n1 1 7\n2 2 0\n0\n"},
+      {"huge_count.poly", "1000000000000 2 0 0\n0 0 0\n"},
+      {"huge_attribute_count.poly", "1 2 18446744073709551615 1\n0 0 0\n"},
+      {"nan_coordinate.poly",
+       "3 2 0 0\n0 0 0\n1 nan 0\n2 0 1\n3 0\n0 0 1\n1 1 2\n2 2 0\n0\n"},
+  };
+  for (const auto& c : cases) {
+    const std::string poly = (dir / c.name).string();
+    {
+      std::ofstream f(poly);
+      f << c.text;
+    }
+    EXPECT_THROW(read_poly(poly), PolyFormatError) << c.name;
+
+    const std::string err = (dir / "stderr.txt").string();
+    const std::string cmd = std::string(AEROMESH_CLI) + " --poly " + poly +
+                            " --output " + (dir / "mesh").string() +
+                            " >/dev/null 2>" + err;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status)) << c.name << " ended by a signal";
+    EXPECT_EQ(WEXITSTATUS(status), 2) << c.name;
+    std::ifstream e(err);
+    const std::string text((std::istreambuf_iterator<char>(e)),
+                           std::istreambuf_iterator<char>());
+    EXPECT_EQ(text.rfind("error: ", 0), 0u) << c.name << ": " << text;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Timer, MeasuresElapsed) {

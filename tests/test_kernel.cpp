@@ -9,9 +9,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstring>
 #include <random>
-#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -59,16 +57,6 @@ std::vector<Vec2> mesh_points(const DelaunayMesh& mesh) {
     pts[i] = mesh.point(static_cast<VertIndex>(i));
   }
   return pts;
-}
-
-/// The serialized-bytes form of the fingerprint: two meshes are considered
-/// bit-identical iff these byte strings match (the acceptance contract of
-/// the parallel kernel).
-std::string canonical_bytes(const DelaunayMesh& mesh) {
-  const auto tris = canonical_triangles(mesh);
-  std::string bytes(tris.size() * sizeof(tris[0]), '\0');
-  if (!tris.empty()) std::memcpy(bytes.data(), tris.data(), bytes.size());
-  return bytes;
 }
 
 // --- BRIO order ------------------------------------------------------------
@@ -397,203 +385,6 @@ TEST(KernelLocate, InsertWithHintMatchesWithout) {
   }
   ASSERT_TRUE(with_hint.check_delaunay());
   EXPECT_EQ(canonical_triangles(with_hint), canonical_triangles(without));
-}
-
-// --- Intra-rank parallel kernel ---------------------------------------------
-
-// Plain sequential insertion of the exact scatter sequence the parallel
-// engine commits: the ground truth every threaded run must reproduce.
-DelaunayMesh sequential_scatter_reference(const std::vector<Vec2>& pts,
-                                          std::vector<VertIndex>* ids_by_input
-                                          = nullptr) {
-  const std::vector<std::uint32_t> perm = brio_scatter_order(pts);
-  std::vector<Vec2> ordered(pts.size());
-  for (std::size_t i = 0; i < perm.size(); ++i) ordered[i] = pts[perm[i]];
-  DelaunayMesh mesh;
-  std::vector<VertIndex> ids;
-  EXPECT_TRUE(mesh.triangulate(ordered, &ids));
-  if (ids_by_input) {
-    ids_by_input->assign(pts.size(), kGhost);
-    for (std::size_t i = 0; i < perm.size(); ++i) {
-      (*ids_by_input)[perm[i]] = ids[i];
-    }
-  }
-  return mesh;
-}
-
-TEST(ParallelKernel, ScatterOrderIsAPermutation) {
-  for (const std::size_t n : {0u, 1u, 7u, 100u, 5000u}) {
-    const std::vector<Vec2> pts = random_cloud(n, 91 + n);
-    const std::vector<std::uint32_t> order = brio_scatter_order(pts);
-    ASSERT_EQ(order.size(), n);
-    std::vector<std::uint8_t> seen(n, 0);
-    for (const std::uint32_t i : order) {
-      ASSERT_LT(i, n);
-      ASSERT_FALSE(seen[i]) << "index appears twice";
-      seen[i] = 1;
-    }
-    EXPECT_EQ(order, brio_scatter_order(pts)) << "not deterministic";
-  }
-}
-
-TEST(ParallelKernel, MatchesSequentialOnUniformClouds) {
-  // The acceptance contract: the threaded mesh is bit-identical (serialized
-  // bytes) to inserting the same scatter sequence sequentially.
-  for (const std::size_t n : {6000u, 20000u}) {
-    std::vector<Vec2> pts = random_cloud(n, 1000 + n);
-    pts.push_back(pts[n / 3]);  // duplicates exercise the merge fallback
-    pts.push_back(pts[0]);
-    std::vector<VertIndex> seq_ids;
-    const DelaunayMesh seq = sequential_scatter_reference(pts, &seq_ids);
-    for (const int threads : {1, 4}) {
-      const TriangulateResult par =
-          triangulate_points(pts, InsertionOrder::kScatter, threads);
-      ASSERT_TRUE(par.mesh.check_topology()) << "threads " << threads;
-      ASSERT_TRUE(par.mesh.check_delaunay()) << "threads " << threads;
-      EXPECT_EQ(mesh_points(par.mesh), mesh_points(seq)) << "threads " << threads;
-      EXPECT_EQ(par.vertex_ids, seq_ids) << "threads " << threads;
-      EXPECT_EQ(canonical_bytes(par.mesh), canonical_bytes(seq))
-          << "n " << n << " threads " << threads;
-    }
-  }
-}
-
-TEST(ParallelKernel, ThreadCountInvariance) {
-  // T=1 and T=k run the same windowed speculate/commit schedule, so the
-  // results must match bit-for-bit including internal vertex numbering.
-  const std::vector<Vec2> pts = random_cloud(12000, 4242);
-  const TriangulateResult base =
-      triangulate_points(pts, InsertionOrder::kScatter, 1);
-  for (const int threads : {2, 3, 4, 8}) {
-    const TriangulateResult r =
-        triangulate_points(pts, InsertionOrder::kScatter, threads);
-    EXPECT_EQ(mesh_points(r.mesh), mesh_points(base.mesh)) << "threads " << threads;
-    EXPECT_EQ(r.vertex_ids, base.vertex_ids) << "threads " << threads;
-    EXPECT_EQ(canonical_bytes(r.mesh), canonical_bytes(base.mesh))
-        << "threads " << threads;
-  }
-}
-
-TEST(ParallelKernel, MatchesSequentialOnFuzzedDegenerateClouds) {
-  // Clustered, cocircular, collinear, and duplicated inputs: the cases where
-  // a speculation is most likely to invalidate and take the deterministic
-  // fallback. Every one must still serialize identically to the sequential
-  // insertion of the same sequence.
-  for (const std::uint64_t seed : {1u, 2u, 3u}) {
-    std::mt19937_64 rng(seed);
-    std::uniform_real_distribution<double> u(-1.0, 1.0);
-    std::normal_distribution<double> tight(0.0, 1e-5);
-    std::uniform_int_distribution<int> lattice(0, 79);
-    std::vector<Vec2> pts;
-    // Tight Gaussian clusters (deep cavities, high conflict density).
-    for (int c = 0; c < 6; ++c) {
-      const Vec2 center{u(rng), u(rng)};
-      for (int i = 0; i < 700; ++i) {
-        pts.push_back({center.x + tight(rng), center.y + tight(rng)});
-      }
-    }
-    // An exact lattice patch: every unit cell is exactly cocircular, so the
-    // diagonal choice is decided purely by the insertion sequence.
-    for (int i = 0; i < 2500; ++i) {
-      pts.push_back({lattice(rng) / 40.0, lattice(rng) / 40.0});
-    }
-    // Exact collinear runs and duplicates sprinkled through the sequence.
-    for (int i = 0; i < 500; ++i) pts.push_back({i / 250.0 - 1.0, 0.5});
-    for (int i = 0; i < 200; ++i) {
-      pts.push_back(pts[static_cast<std::size_t>(rng() % pts.size())]);
-    }
-    std::vector<VertIndex> seq_ids;
-    const DelaunayMesh seq = sequential_scatter_reference(pts, &seq_ids);
-    const TriangulateResult par =
-        triangulate_points(pts, InsertionOrder::kScatter, 4);
-    ASSERT_TRUE(par.mesh.check_topology()) << "seed " << seed;
-    ASSERT_TRUE(par.mesh.check_delaunay()) << "seed " << seed;
-    EXPECT_EQ(mesh_points(par.mesh), mesh_points(seq)) << "seed " << seed;
-    EXPECT_EQ(par.vertex_ids, seq_ids) << "seed " << seed;
-    EXPECT_EQ(canonical_bytes(par.mesh), canonical_bytes(seq))
-        << "seed " << seed;
-  }
-}
-
-TEST(ParallelKernel, CollinearBootstrapGrowsPrefix) {
-  // Almost every point on one line: the engine's bootstrap prefix is likely
-  // collinear and must grow until the off-line points appear (and an
-  // entirely collinear input must still fail cleanly).
-  std::vector<Vec2> pts;
-  for (int i = 0; i < 6000; ++i) pts.push_back({i / 3000.0 - 1.0, 0.0});
-  pts.push_back({0.1, 0.7});
-  pts.push_back({-0.4, -0.3});
-  const DelaunayMesh seq = sequential_scatter_reference(pts);
-  const TriangulateResult par =
-      triangulate_points(pts, InsertionOrder::kScatter, 4);
-  ASSERT_TRUE(par.mesh.check_topology());
-  EXPECT_EQ(canonical_bytes(par.mesh), canonical_bytes(seq));
-
-  std::vector<Vec2> collinear;
-  for (int i = 0; i < 6000; ++i) collinear.push_back({i * 0.001, i * 0.002});
-  EXPECT_THROW(triangulate_points(collinear, InsertionOrder::kScatter, 4),
-               std::invalid_argument);
-}
-
-TEST(ParallelKernel, SmallCloudsMatchAcrossThreadCounts) {
-  // Below the engine's minimum the dispatch stays sequential regardless of
-  // the thread request; results must be unaffected by `threads`.
-  const std::vector<Vec2> pts = random_cloud(900, 8);
-  const TriangulateResult a =
-      triangulate_points(pts, InsertionOrder::kScatter, 1);
-  const TriangulateResult b =
-      triangulate_points(pts, InsertionOrder::kScatter, 8);
-  EXPECT_EQ(mesh_points(a.mesh), mesh_points(b.mesh));
-  EXPECT_EQ(canonical_bytes(a.mesh), canonical_bytes(b.mesh));
-  // And the scatter mesh equals the x-sorted mesh on a general-position
-  // cloud (unique Delaunay triangulation).
-  const TriangulateResult c =
-      triangulate_points(pts, InsertionOrder::kXSorted);
-  EXPECT_EQ(canonical_triangles(a.mesh), canonical_triangles(c.mesh));
-}
-
-TEST(ParallelKernel, ThreadedUpgradeOfDefaultOrderIsThreadCountInvariant) {
-  // TriangulateOptions{threads: k} on the default order upgrades to the
-  // scatter engine; the mesh must not depend on k.
-  const std::vector<Vec2> cloud = random_cloud(9000, 606);
-  Pslg pslg;
-  pslg.points = cloud;
-  TriangulateOptions opts;
-  opts.constrained = false;
-  opts.carve = false;
-  opts.threads = 2;
-  const TriangulateResult two = triangulate(pslg, opts);
-  opts.threads = 4;
-  const TriangulateResult four = triangulate(pslg, opts);
-  EXPECT_EQ(mesh_points(two.mesh), mesh_points(four.mesh));
-  EXPECT_EQ(canonical_bytes(two.mesh), canonical_bytes(four.mesh));
-  // And it still triangulates the same point set as the sequential default.
-  opts.threads = 1;
-  const TriangulateResult one = triangulate(pslg, opts);
-  EXPECT_EQ(canonical_triangles(one.mesh), canonical_triangles(four.mesh));
-}
-
-TEST(ParallelKernel, RefinerScanThreadsDoNotChangeTheMesh) {
-  // The threaded initial scan must enqueue the identical work in the
-  // identical order, so refinement with 1 and 4 threads yields the same
-  // mesh (the scan only engages past 16384 triangles; the sizing below
-  // pushes well beyond that).
-  const auto refine_with = [](int threads) {
-    Pslg pslg;
-    pslg.points = {{-1, -1}, {1, -1}, {1, 1}, {-1, 1}};
-    pslg.segments = {{0, 1}, {1, 2}, {2, 3}, {3, 0}};
-    TriangulateOptions opts;
-    opts.refine = true;
-    opts.refine_options.radius_edge_bound = 1.4142135623730951;
-    opts.refine_options.max_area = 2.0e-4;
-    opts.refine_options.threads = threads;
-    return triangulate(pslg, opts);
-  };
-  const TriangulateResult one = refine_with(1);
-  const TriangulateResult four = refine_with(4);
-  ASSERT_GT(one.mesh.triangle_count(), 16384u);
-  EXPECT_EQ(mesh_points(one.mesh), mesh_points(four.mesh));
-  EXPECT_EQ(canonical_bytes(one.mesh), canonical_bytes(four.mesh));
 }
 
 }  // namespace

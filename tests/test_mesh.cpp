@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <random>
 
 #include "delaunay/mesh.hpp"  // aerolint: allow(public-api)
@@ -67,6 +68,13 @@ struct CloudParam {
   int n;
   unsigned seed;
 };
+
+// Prints the fields, not gtest's raw bytes: the raw dump holds the
+// load-address-dependent `name` pointer, which would make the test's
+// listed name change from one run of the binary to the next.
+void PrintTo(const CloudParam& p, std::ostream* os) {
+  *os << '{' << p.name << ',' << p.n << ',' << p.seed << '}';
+}
 
 class CloudSweep : public ::testing::TestWithParam<CloudParam> {
  protected:

@@ -9,6 +9,7 @@
 #include <array>
 #include <cstdint>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "airfoil/geometry.hpp"
@@ -202,7 +203,6 @@ Options spill_case() {
   cfg.bl_min_points = 600;
   cfg.bl_max_level = 8;
   cfg.ranks = 4;
-  cfg.threads_per_rank = 1;
   return cfg;
 }
 
@@ -260,6 +260,43 @@ TEST(SpillMerge, ResidentBudgetBoundsTheMergeWindows) {
   EXPECT_GT(r.bl_pool.merge_resident_peak_bytes +
                 r.inviscid_pool.merge_resident_peak_bytes,
             0u);
+}
+
+TEST(SpillMerge, ConcurrentRunsSharingASpillDirStayBitIdentical) {
+  // Two different meshes spill into one directory at the same time. Each
+  // run's spill files are its own, so each merged mesh must equal its
+  // in-RAM merge byte for byte (one rank: the merge order is fixed).
+  Options small = spill_case();
+  small.ranks = 1;
+  Options large = small;
+  large.airfoil = make_naca0012(200);
+
+  struct Run {
+    std::vector<std::uint8_t> blob;
+    std::size_t spill_records = 0;
+  };
+  const auto run = [](const Options& o) {
+    const ParallelMeshResult r = parallel_generate_mesh(o);
+    EXPECT_EQ(r.status, RunStatus::kOk);
+    return Run{MeshView(r.mesh).serialize(),
+               r.bl_pool.spill_records + r.inviscid_pool.spill_records};
+  };
+  const Run small_ram = run(small);
+  const Run large_ram = run(large);
+
+  small.merge_spill_dir = testing::TempDir();
+  small.merge_resident_mb = 1;
+  large.merge_spill_dir = small.merge_spill_dir;
+  large.merge_resident_mb = 1;
+  Run large_spilled;
+  std::thread other([&] { large_spilled = run(large); });
+  const Run small_spilled = run(small);
+  other.join();
+
+  EXPECT_GT(small_spilled.spill_records, 0u);
+  EXPECT_GT(large_spilled.spill_records, 0u);
+  EXPECT_EQ(small_spilled.blob, small_ram.blob);
+  EXPECT_EQ(large_spilled.blob, large_ram.blob);
 }
 
 }  // namespace

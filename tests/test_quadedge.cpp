@@ -6,6 +6,7 @@
 #include <array>
 #include <cmath>
 #include <map>
+#include <ostream>
 #include <random>
 
 #include "delaunay/quadedge.hpp"  // aerolint: allow(public-api)
@@ -94,6 +95,13 @@ struct DcParam {
   int n;
   unsigned seed;
 };
+
+// Prints the fields, not gtest's raw bytes: the raw dump holds the
+// load-address-dependent `shape` pointer, which would make the test's
+// listed name change from one run of the binary to the next.
+void PrintTo(const DcParam& p, std::ostream* os) {
+  *os << '{' << p.shape << ',' << p.n << ',' << p.seed << '}';
+}
 
 class DcEquivalence : public ::testing::TestWithParam<DcParam> {
  protected:

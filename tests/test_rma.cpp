@@ -1,14 +1,13 @@
 // Zero-copy transport: ByteBuf inline storage, the size-classed BufferPool,
-// transfer-frame and batch codecs (with exhaustive and randomized corruption
-// fuzzing), PayloadWindow ownership-handoff semantics, small-message
-// coalescing, and the pool-level A/B guarantee that the RMA and full-copy
-// paths produce bit-identical meshes.
+// the transfer-frame codec (with exhaustive and randomized corruption
+// fuzzing), PayloadWindow ownership-handoff semantics, and the pool-level
+// A/B guarantee that the RMA and full-copy paths produce bit-identical
+// meshes.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <random>
-#include <thread>
 
 #include "check/audit.hpp"  // aerolint: allow(public-api)
 #include "core/mesh_generator.hpp"
@@ -201,57 +200,6 @@ TEST(RmaFrames, DigestIsLengthAndContentSensitive) {
 }
 
 // ---------------------------------------------------------------------------
-// Batch codec.
-
-TEST(BatchCodec, RoundTripPreservesOrderTagsAndBytes) {
-  std::vector<StagedMessage> parts;
-  parts.push_back({kTagWorkRequest, ByteBuf()});
-  parts.push_back({kTagNoWork, ByteBuf({1, 2, 3})});
-  parts.push_back({kTagWorkAck, make_ack(77)});
-  const ByteBuf wire = encode_batch(parts);
-  std::vector<Message> out;
-  ASSERT_TRUE(decode_batch(wire, 5, out));
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].tag, kTagWorkRequest);
-  EXPECT_TRUE(out[0].payload.empty());
-  EXPECT_EQ(out[1].tag, kTagNoWork);
-  EXPECT_EQ(out[1].payload, ByteBuf({1, 2, 3}));
-  EXPECT_EQ(out[2].tag, kTagWorkAck);
-  EXPECT_EQ(parse_ack(out[2].payload), 77u);
-  for (const Message& m : out) EXPECT_EQ(m.from, 5);
-}
-
-TEST(BatchCodec, EveryByteCorruptionIsRejectedWholesale) {
-  std::vector<StagedMessage> parts;
-  parts.push_back({kTagNoWork, ByteBuf({0xaa, 0xbb})});
-  parts.push_back({kTagWorkRequest, ByteBuf({0xcc})});
-  const ByteBuf wire = encode_batch(parts);
-  for (std::size_t i = 0; i < wire.size(); ++i) {
-    ByteBuf bad = wire;
-    bad[i] ^= 0x21;
-    std::vector<Message> out;
-    EXPECT_FALSE(decode_batch(bad, 0, out)) << "byte " << i;
-    EXPECT_TRUE(out.empty());
-  }
-}
-
-TEST(BatchCodec, RandomTruncationIsRejected) {
-  std::mt19937 rng(0xbadc0de);
-  std::vector<StagedMessage> parts;
-  for (int i = 0; i < 8; ++i) {
-    std::vector<std::uint8_t> bytes(rng() % 64);
-    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
-    parts.push_back({static_cast<int>(1 + rng() % 8), ByteBuf(std::move(bytes))});
-  }
-  const ByteBuf wire = encode_batch(parts);
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::size_t n = rng() % wire.size();
-    std::vector<Message> out;
-    EXPECT_FALSE(decode_batch(ByteBuf(wire.data(), n), 0, out)) << n;
-  }
-}
-
-// ---------------------------------------------------------------------------
 // PayloadWindow ownership handoff.
 
 std::vector<std::uint8_t> pattern_bytes(std::size_t n) {
@@ -417,84 +365,6 @@ TEST(WorkFuzz, RandomBitFlipsAndTruncationsAreRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// Coalescing: batching happens, per-pair FIFO survives, flush drains.
-
-CoalesceOptions tight_coalescing() {
-  CoalesceOptions co;
-  co.flush_delay = std::chrono::microseconds(200);
-  return co;
-}
-
-TEST(Coalesce, SmallMessagesBatchAndKeepFifoOrder) {
-  Communicator comm(2);
-  comm.set_coalescing(tight_coalescing());
-  comm.send(0, 1, kTagWorkRequest);
-  comm.send(0, 1, kTagNoWork, {1});
-  // A large payload must flush the staged lane first so order holds.
-  comm.send(0, 1, kTagWorkTransfer, std::vector<std::uint8_t>(300, 9));
-  const Message a = comm.recv(1);
-  const Message b = comm.recv(1);
-  const Message c = comm.recv(1);
-  EXPECT_EQ(a.tag, kTagWorkRequest);
-  EXPECT_EQ(b.tag, kTagNoWork);
-  EXPECT_EQ(c.tag, kTagWorkTransfer);
-  EXPECT_EQ(c.payload.size(), 300u);
-  const CommStats s = comm.stats();
-  EXPECT_EQ(s.batches, 1u);
-  EXPECT_EQ(s.coalesced, 2u);
-  EXPECT_EQ(s.messages, 2u);  // one batch + one large = two fabric messages
-}
-
-TEST(Coalesce, FlushShipsStagedSingletonsUnwrapped) {
-  Communicator comm(3);
-  comm.set_coalescing(tight_coalescing());
-  comm.send(0, 2, kTagNoWork, {4});
-  EXPECT_EQ(comm.pending(2), 0u);  // still staged
-  comm.flush(0);
-  const Message m = comm.recv(2);
-  EXPECT_EQ(m.tag, kTagNoWork);
-  EXPECT_EQ(m.payload[0], 4);
-  EXPECT_EQ(comm.stats().batches, 0u);  // singleton went out unwrapped
-}
-
-TEST(Coalesce, MaybeFlushHonorsTheAgeBound) {
-  // Young lanes stay staged (huge delay: the bound can never be reached
-  // within the test), aged lanes ship (tiny delay plus a real sleep). Two
-  // communicators so the check cannot flake on a slow, oversubscribed box.
-  Communicator young(2);
-  CoalesceOptions slow;
-  slow.flush_delay = std::chrono::minutes(10);
-  young.set_coalescing(slow);
-  young.send(0, 1, kTagNoWork);
-  young.maybe_flush(0);
-  EXPECT_EQ(young.pending(1), 0u);  // still staged
-
-  Communicator aged(2);
-  CoalesceOptions fast;
-  fast.flush_delay = std::chrono::microseconds(1);
-  aged.set_coalescing(fast);
-  aged.send(0, 1, kTagNoWork);
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  aged.maybe_flush(0);
-  EXPECT_EQ(aged.pending(1), 1u);
-}
-
-TEST(Coalesce, CapsForceImmediateShipment) {
-  Communicator comm(2);
-  CoalesceOptions co = tight_coalescing();
-  co.max_messages = 3;
-  comm.set_coalescing(co);
-  comm.send(0, 1, kTagNoWork);
-  comm.send(0, 1, kTagNoWork);
-  EXPECT_EQ(comm.pending(1), 0u);
-  comm.send(0, 1, kTagNoWork);  // hits the cap
-  EXPECT_EQ(comm.pending(1), 1u);
-  const Message m = comm.recv(1);
-  EXPECT_EQ(m.tag, kTagNoWork);  // batch expanded transparently by recv
-  EXPECT_EQ(comm.stats().coalesced, 3u);
-}
-
-// ---------------------------------------------------------------------------
 // Pool-level A/B: the RMA window path and the full-copy path must produce
 // bit-identical meshes, with the window path moving far fewer fabric bytes.
 
@@ -575,31 +445,6 @@ TEST(PoolAb, RmaAndCopyPathsProduceBitIdenticalMeshes) {
   EXPECT_GT(off.result_bytes, 0u);
   EXPECT_LT(on.comm_bytes * 2, off.comm_bytes);
   EXPECT_GT(on.buffer_pool_misses, 0u);  // serializers draw from the pool
-}
-
-TEST(PoolAb, CoalescingPreservesTheMeshUnderChaos) {
-  const AbFixture fx;
-  PoolTuning plain;
-  MergedMesh reference;
-  const PoolStats clean = fx.run(plain, reference);
-  EXPECT_EQ(clean.status, RunStatus::kOk);
-
-  PoolTuning coalesced;
-  coalesced.coalesce_delay = std::chrono::microseconds(150);
-  PoolOptions o = fx.opts;
-  o.faults.enabled = true;
-  o.faults.seed = 77;
-  o.faults.drop_rate = 0.05;
-  o.faults.duplicate_rate = 0.04;
-  o.faults.corrupt_rate = 0.04;
-  o.tuning = coalesced;
-  MergedMesh mesh;
-  auto units = fx.initial;
-  const PoolStats stats = run_pool(std::move(units), fx.sizing, o, mesh);
-  EXPECT_EQ(stats.status, RunStatus::kOk);
-  EXPECT_EQ(mesh.triangle_count(), reference.triangle_count());
-  EXPECT_EQ(mesh.point_count(), reference.point_count());
-  EXPECT_GT(stats.coalesced_messages, 0u);  // batching really happened
 }
 
 TEST(PoolAb, RmaChaosRunPassesTheProtocolAudit) {

@@ -49,10 +49,8 @@ TEST(ServiceCacheKey, NonMeshKnobsDoNotChangeKey) {
   // request from the cache).
   const Options variants[] = {
       base_options().set_ranks(4),
-      base_options().set_threads_per_rank(4),
       base_options().set_rma(true),
       base_options().set_rma_threshold(1 << 12),
-      base_options().set_coalesce_us(500),
       base_options().set_ack_timeout_ms(77),
       base_options().set_heartbeat_timeout_ms(333),
       base_options().set_watchdog_timeout_s(9),
@@ -355,39 +353,6 @@ TEST(MeshServer, PooledRunSharesCacheWithSequential) {
   ASSERT_EQ(pooled.status, ServiceStatus::kOk);
   EXPECT_TRUE(pooled.cache_hit);
   EXPECT_EQ(pooled.mesh_blob, seq.mesh_blob);
-}
-
-TEST(MeshServer, ThreadsPerRankIsServerOwnedAndNotMeshDefining) {
-  // The daemon's thread budget is a capacity decision: whatever
-  // threads_per_rank a tenant sends is overwritten by the server config,
-  // and since the knob is not mesh-defining the blobs stay bit-identical
-  // (and cache-shared) across every tenant/server combination.
-  ServerConfig threaded;
-  threaded.workers = 1;
-  threaded.threads_per_rank = 2;
-  MeshServer server(threaded);
-  MeshRequest wild = request_of(1, 0, 50);
-  wild.options.set_threads_per_rank(64);  // tenant asks for the moon
-  const MeshResponse a = server.submit_wait(std::move(wild));
-  ASSERT_EQ(a.status, ServiceStatus::kOk);
-  EXPECT_FALSE(a.cache_hit);
-  const MeshResponse b = server.submit_wait(request_of(2, 0, 50));
-  ASSERT_EQ(b.status, ServiceStatus::kOk);
-  EXPECT_TRUE(b.cache_hit);  // same key despite differing thread requests
-  EXPECT_EQ(b.mesh_blob, a.mesh_blob);
-
-  ServerConfig sequential;
-  sequential.workers = 1;
-  MeshServer plain(sequential);
-  const MeshResponse c = plain.submit_wait(request_of(3, 0, 50));
-  ASSERT_EQ(c.status, ServiceStatus::kOk);
-  EXPECT_EQ(c.mesh_blob, a.mesh_blob);  // threads never change the mesh
-
-  // In-flight thread pressure is mirrored into the gauge; idle -> 0.
-  EXPECT_EQ(obs::MetricsRegistry::global()
-                .gauge("service.threads_active")
-                .value(),
-            0.0);
 }
 
 TEST(MeshServer, InvalidOptionsRejectedWithoutQueueing) {

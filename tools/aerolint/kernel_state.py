@@ -1,11 +1,11 @@
 """Kernel shared-state audit: mutable state reachable from the Delaunay
 insert path must declare its threading discipline.
 
-The intra-rank parallel kernel (delaunay/parallel_insert) runs worker
-threads over a frozen DelaunayMesh between two barriers; its race-freedom
-argument is that every byte the workers can reach is either immutable for
-the duration of the window or owned by exactly one thread. That argument
-only holds if no one quietly adds shared mutable state to the kernel later.
+Pool ranks and service workers run the Delaunay kernel concurrently, each
+on its own mesh; the race-freedom argument is that every byte the kernel
+can reach is either immutable, per-thread, or owned by the one thread that
+owns its mesh. That argument only holds if no one quietly adds shared
+mutable state to the kernel later.
 This audit enforces the paper trail: within the kernel's reach
 (src/delaunay and src/geom), every
 
@@ -14,7 +14,7 @@ This audit enforces the paper trail: within the kernel's reach
   * function-local `static` that is not const/constexpr
 
 must carry an AERO_SHARED_STATE(why) annotation stating who may touch it
-and when (e.g. "main thread only", "worker-disjoint slots"). The macro is a
+and when (e.g. "per-mesh; one thread owns each mesh"). The macro is a
 textual no-op (obs/annotations.hpp); the reason is the contract reviewers
 and this audit hold the code to.
 
